@@ -24,6 +24,7 @@ bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke
 	PYTHONPATH=src python benchmarks/bench_obs.py --smoke
 	PYTHONPATH=src python benchmarks/bench_exec_kernels.py --smoke
+	PYTHONPATH=src python benchmarks/bench_planner.py --smoke
 
 serve-smoke:
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke

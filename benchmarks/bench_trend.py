@@ -49,6 +49,7 @@ HEADLINE_METRICS: dict[str, list[tuple[str, str]]] = {
         ("batch_speedup_ratio", "higher"),
         ("kernel_speedup_ratio", "higher"),
     ],
+    "BENCH_planner.json": [("bao_init_speedup_ratio", "higher")],
 }
 
 

@@ -1,8 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark prints the rows/series of the corresponding paper table or
-figure and wraps the headline computation in ``pytest-benchmark`` so the whole
-suite can be run with ``pytest benchmarks/ --benchmark-only``.
+figure and wraps the headline computation in ``pytest-benchmark``.  The files
+are named ``bench_*.py``, which pytest's default ``test_*.py`` pattern does
+not collect, so ``pytest benchmarks/`` runs nothing: pass the files
+explicitly, e.g. ``PYTHONPATH=src pytest benchmarks/bench_fig3_improvement_cdf.py
+--benchmark-only``.  The performance gates (``bench_planner.py``,
+``bench_exec_kernels.py``, ...) are scripts: run them with ``python``.
 
 The workloads here are scaled down (both in data size and in number of
 queries/executions) so the full suite completes in minutes on a laptop; the

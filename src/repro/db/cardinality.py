@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.db.query import Query
+from repro.db.query import JoinPredicate, Query
 from repro.db.statistics import TableStats
 from repro.exceptions import QueryError
 
@@ -65,12 +65,16 @@ class CardinalityEstimator:
         """
         selectivity = 1.0
         for predicate in query.predicates_between(left, right):
-            left_table = query.table_of(predicate.left_alias)
-            right_table = query.table_of(predicate.right_alias)
-            ndv_left = self.stats[left_table].column(predicate.left_column).num_distinct
-            ndv_right = self.stats[right_table].column(predicate.right_column).num_distinct
-            selectivity *= 1.0 / max(ndv_left, ndv_right, 1)
+            selectivity *= self.predicate_selectivity(query, predicate)
         return selectivity
+
+    def predicate_selectivity(self, query: Query, predicate: JoinPredicate) -> float:
+        """``1 / max(ndv_left, ndv_right)`` for one equijoin predicate."""
+        left_table = query.table_of(predicate.left_alias)
+        right_table = query.table_of(predicate.right_alias)
+        ndv_left = self.stats[left_table].column(predicate.left_column).num_distinct
+        ndv_right = self.stats[right_table].column(predicate.right_column).num_distinct
+        return 1.0 / max(ndv_left, ndv_right, 1)
 
     def estimate_subset(self, query: Query, aliases: frozenset[str]) -> float:
         """Estimated cardinality of joining all aliases in ``aliases``.
@@ -79,21 +83,20 @@ class CardinalityEstimator:
         the product of selectivities of every join predicate internal to the
         subset.  The result does not depend on join order, matching how a
         System R optimizer costs intermediate results.
+
+        The base cardinalities are multiplied in sorted-alias order and the
+        selectivities in predicate order, so the floating-point result does
+        not depend on set iteration order (which follows the string-hash
+        salt).  The planner's bitmask DP multiplies in the same order.
         """
         if not aliases:
             raise QueryError("cannot estimate the cardinality of an empty alias set")
         rows = 1.0
-        for alias in aliases:
+        for alias in sorted(aliases):
             rows *= self.base_estimate(query, alias).rows
-        alias_set = set(aliases)
         for predicate in query.join_predicates:
-            left, right = predicate.aliases()
-            if left in alias_set and right in alias_set:
-                left_table = query.table_of(left)
-                right_table = query.table_of(right)
-                ndv_left = self.stats[left_table].column(predicate.left_column).num_distinct
-                ndv_right = self.stats[right_table].column(predicate.right_column).num_distinct
-                rows *= 1.0 / max(ndv_left, ndv_right, 1)
+            if predicate.left_alias in aliases and predicate.right_alias in aliases:
+                rows *= self.predicate_selectivity(query, predicate)
         return max(rows, MIN_ROWS)
 
     def estimate_join(

@@ -150,7 +150,11 @@ class Database:
 
     # ------------------------------------------------------------------ planning
     def plan(self, query: Query, hint_set: HintSet = DEFAULT_HINT_SET) -> JoinTree:
-        """Default-optimizer plan for ``query`` under ``hint_set``."""
+        """Default-optimizer plan for ``query`` under ``hint_set``.
+
+        The query is validated on every call; repeated plans of a query come
+        from the optimizer's per-database memo (see :mod:`repro.db.optimizer`).
+        """
         query.validate_against(self.schema)
         return self.optimizer.plan(query, hint_set)
 
